@@ -34,6 +34,12 @@ def render_bench_table(payload: Dict[str, Any]) -> str:
         f" on {payload['n_cpus']} cpus",
         f"- digest: `{payload['digest']}`",
     ]
+    host = payload.get("host")
+    if host:
+        lines.append(
+            f"- threads: BLAS {host['blas_vendor']} × {host['blas_threads']}, "
+            f"kernel job pool {host['kernel_threads']}"
+        )
     if payload.get("filters"):
         lines.append(f"- filters: `{' '.join(payload['filters'])}`")
     if payload.get("stopped_early"):

@@ -223,12 +223,13 @@ def run_matrix(
 
     Returns:
         Payload dict: ``schema`` (:data:`TABLE_SCHEMA`), ``name``,
-        ``spec``, ``filters``, ``n_cpus``, ``rows``, ``capacity``
+        ``spec``, ``filters``, ``n_cpus`` (CPUs this process may use),
+        ``host`` (:func:`repro.perf.thread_facts`: BLAS vendor and thread
+        count, the in-process kernel job-pool width), ``rows``, ``capacity``
         (fitted models per non-shard group), and the deterministic
         ``digest``.
     """
-    import os
-
+    from repro.perf.threads import thread_facts, usable_cpus
     from repro.serve.simulate import simulated_receivers
 
     cells = expand_matrix(spec)
@@ -283,7 +284,8 @@ def run_matrix(
         "name": spec.name,
         "spec": spec.to_dict(),
         "filters": [f"{key}={value}" for key, value in filters],
-        "n_cpus": os.cpu_count() or 1,
+        "n_cpus": usable_cpus(),
+        "host": thread_facts(),
         "n_cells": len(rows),
         "repetitions": spec.repetitions,
         "stopped_early": stopped,

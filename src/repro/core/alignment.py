@@ -16,12 +16,14 @@ That identity turns an O(T·W·V) kernel into O(T·W) plus a cheap filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.core.trrs import normalize_csi, normalized_inner_trrs
+from repro.nanops import nanmedian
 
 
 @dataclass
@@ -49,6 +51,13 @@ class AlignmentMatrix:
     @property
     def max_lag(self) -> int:
         return int(self.lags[-1])
+
+    @cached_property
+    def row_median(self) -> np.ndarray:
+        """(T,) NaN-ignoring median over lags of each row (the lag clutter
+        level peak prominence is measured against).  Computed once per
+        matrix; ``values`` must not be modified afterwards."""
+        return nanmedian(self.values, axis=1)
 
     def lag_index(self, lag: int) -> int:
         """Column index of an integer lag."""

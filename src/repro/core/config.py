@@ -71,9 +71,14 @@ class RimConfig:
             "batched" (one einsum per lag across all pairs, with row
             reuse), or "auto" — the ``RIM_KERNEL`` env var when set, else
             "batched".  All backends are numerically equivalent.
-        kernel_threads: Thread-pool width for the batched backend's
-            per-lag fan-out (the einsum inner products release the GIL);
-            0 means serial.  Ignored by the reference backend.
+        kernel_threads: Width of the batched backend's kernel job pool,
+            the estimator's one in-process parallelism (BLAS itself is
+            pinned to one thread in every process that builds a backend,
+            see :mod:`repro.perf.threads`).  0 (default) means one
+            thread per CPU this process may use; 1 is serial.  A
+            ``ShardRouter`` gives each worker an even split of the CPUs
+            instead.  Outputs do not depend on it.  Ignored by the
+            reference backend.
         kernel_dtype: Precision of the batched TRRS and DP kernels:
             "float64" (default; bit-compatible with the reference
             oracle), "float32" (opt-in single precision — roughly 2x

@@ -87,9 +87,7 @@ def path_quality(
     (how much the tracked peak stands out of the lag clutter); it is then
     smoothed with a NaN-aware moving average.
     """
-    values = matrix.values
-    median = nanmedian(values, axis=1)
-    raw = path.path_trrs - median
+    raw = path.path_trrs - matrix.row_median
     raw = np.where(np.isfinite(raw), raw, 0.0)
     return nan_moving_average(raw[:, None], smoothing_window)[:, 0]
 
@@ -128,8 +126,7 @@ def post_check(
     finite = np.isfinite(trrs)
     mean_trrs = float(trrs[finite].mean()) if finite.any() else 0.0
 
-    median = nanmedian(matrix.values, axis=1)
-    prom = (path.path_trrs - median)[sel]
+    prom = (path.path_trrs - matrix.row_median)[sel]
     prom = prom[np.isfinite(prom)]
     mean_prom = float(prom.mean()) if prom.size else 0.0
 

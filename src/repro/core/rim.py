@@ -229,7 +229,9 @@ class Rim:
                     data = sanitize_trace(data)
                     obs.add("sanitize.samples", data.shape[0])
             norm = normalize_csi(data)
-        fs = trace.sampling_rate
+        # A single sample defines no clock and cannot show movement; the
+        # movement detector reports it still and nothing reads fs then.
+        fs = trace.sampling_rate if trace.n_samples > 1 else float("nan")
 
         # Per-trace kernel store; in streaming it is seeded with the
         # previous block's TRRS rows when the retained samples are
@@ -367,12 +369,13 @@ class Rim:
     ) -> MovementResult:
         cfg = self.config
         # An all-NaN (dead) reference chain would blind movement detection;
-        # use the first live one.  With no live chain at all there is no
-        # evidence of movement — report still and let degradation flag it.
+        # use the first live one.  With no live chain, or fewer than two
+        # samples, there is no evidence of movement — report still and let
+        # degradation flag it.
         reference = next(
             (a for a in range(data.shape[1]) if not dead or a not in dead), None
         )
-        if reference is None:
+        if reference is None or data.shape[0] < 2:
             indicator = np.full(data.shape[0], np.nan)
             return MovementResult(
                 indicator=indicator,

@@ -20,7 +20,6 @@ Entry points:
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -216,6 +215,7 @@ def _profile_serving(
     legitimately degenerates to serial and the payload says so.
     """
     from repro import RimConfig
+    from repro.perf.threads import usable_cpus
     from repro.serve.runner import ParallelRunner
 
     cfg = RimConfig(max_lag=60, kernel_backend=PRIMARY_BACKEND)
@@ -247,7 +247,7 @@ def _profile_serving(
         "n_workers": n_workers,
         "n_workers_effective": parallel_runner.n_workers_effective,
         "fallback_reason": parallel_runner.fallback_reason,
-        "n_cpus": os.cpu_count(),
+        "n_cpus": usable_cpus(),
         "mode": "thread",
         "total_samples": total_samples,
         "serial": _throughput(serial_wall),
@@ -566,6 +566,7 @@ def run_perf_baseline(
     from repro import linear_array
     from repro.eval.setup import MEASUREMENT_SPOTS, make_testbed
     from repro.motionsim.profiles import line_trajectory
+    from repro.perf.threads import thread_facts
 
     if duration_s is None:
         duration_s = 3.0 if quick else 10.0
@@ -616,6 +617,7 @@ def run_perf_baseline(
         "schema": SCHEMA,
         "seed": seed,
         "quick": quick,
+        "host": thread_facts(),
         "primary_backend": PRIMARY_BACKEND,
         "workload": {
             "duration_s": duration_s,

@@ -9,7 +9,10 @@ themselves, and the streaming cross-block row cache:
 * :mod:`repro.perf.kernels` — ``reference`` (the serial oracle) and
   ``batched`` (one einsum per lag across all pairs, with cell reuse);
 * :mod:`repro.perf.streamcache` — incremental reuse of the context
-  window's TRRS rows across streaming blocks.
+  window's TRRS rows across streaming blocks;
+* :mod:`repro.perf.threads` — thread ownership: every loaded BLAS is
+  pinned to one thread when a backend is built, and the batched
+  kernels' job pool (``kernel_threads``) is the in-process parallelism.
 
 All backends are numerically equivalent; ``batched`` is the default.
 See ``docs/performance.md``.
@@ -36,18 +39,33 @@ from repro.perf.registry import (
     resolve_kernel_dtype,
 )
 from repro.perf.streamcache import StreamAlignmentCache
-
-# The reference oracle is always float64 — it defines the numbers every
-# other backend is measured against; only batched kernels honour the
-# opt-in precision.
-register_backend("reference", lambda config: ReferenceBackend())
-register_backend(
-    "batched",
-    lambda config: BatchedBackend(
-        threads=getattr(config, "kernel_threads", 0),
-        dtype=resolve_kernel_dtype(config),
-    ),
+from repro.perf.threads import (
+    loaded_blas,
+    pin_blas_threads,
+    resolve_kernel_threads,
+    thread_facts,
+    usable_cpus,
 )
+
+
+def _reference(config) -> ReferenceBackend:
+    # The reference oracle is always float64 — it defines the numbers
+    # every other backend is measured against; only batched kernels
+    # honour the opt-in precision.
+    pin_blas_threads()
+    return ReferenceBackend()
+
+
+def _batched(config) -> BatchedBackend:
+    pin_blas_threads()
+    return BatchedBackend(
+        threads=resolve_kernel_threads(config),
+        dtype=resolve_kernel_dtype(config),
+    )
+
+
+register_backend("reference", _reference)
+register_backend("batched", _batched)
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -62,8 +80,13 @@ __all__ = [
     "available_backends",
     "dp_track_batch",
     "get_backend",
+    "loaded_blas",
     "native_available",
+    "pin_blas_threads",
     "register_backend",
     "resolve_backend_name",
     "resolve_kernel_dtype",
+    "resolve_kernel_threads",
+    "thread_facts",
+    "usable_cpus",
 ]

@@ -34,6 +34,9 @@ fault-injected traces.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -223,9 +226,12 @@ class BatchedBackend(KernelBackend):
     """Batched einsum kernels over a :class:`BaseRowStore`.
 
     Args:
-        threads: Fan the per-lag columns out over a thread pool of this
-            size (the einsum inner products release the GIL for the bulk
-            of their work).  ``0``/``1`` means serial.
+        threads: Width of the job pool that fans band GEMMs and per-lag
+            gathers out across threads (BLAS and the einsum inner
+            products release the GIL for the bulk of their work).
+            ``0``/``1`` means serial.  The registry resolves
+            ``RimConfig.kernel_threads`` (``0`` = one per usable CPU)
+            before it builds the backend; see :mod:`repro.perf.threads`.
         dtype: Kernel precision: ``"float64"`` (default) reproduces the
             reference oracle bit for bit / within the 1e-9 GEMM budget;
             ``"float32"`` opts in to single-precision TRRS and DP
@@ -508,15 +514,53 @@ def _compute_cells(
         (run_einsum, j) for j in einsum_jobs
     ]
     if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         # Each (pair, row) cell has exactly one writer: GEMM jobs own
         # disjoint (pair, row-range) blocks and einsum jobs write only a
         # pair's scattered cells in disjoint columns, so shared arrays
-        # are safe.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda fj: fj[0](fj[1]), jobs))
+        # are safe.  Every job computes the same bits on any thread
+        # (BLAS is pinned to one thread), so outputs do not depend on
+        # the pool width.  The calling thread runs one interleaved share
+        # itself: a call costs threads-1 hand-offs, not one per job.
+        def run_share(share) -> None:
+            for fn, job in share:
+                fn(job)
+
+        shares = [jobs[k::threads] for k in range(min(threads, len(jobs)))]
+        pending = [_job_pool(threads - 1).submit(run_share, s) for s in shares[1:]]
+        try:
+            run_share(shares[0])
+        finally:
+            wait(pending)
+        for future in pending:
+            future.result()
     else:
         for fn, job in jobs:
             fn(job)
     return fresh
+
+
+_pools: Dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+
+
+def _job_pool(threads: int) -> ThreadPoolExecutor:
+    """The process-wide kernel job pool of this width (built once)."""
+    with _pools_lock:
+        pool = _pools.get(threads)
+        if pool is None:
+            pool = _pools[threads] = ThreadPoolExecutor(
+                max_workers=threads, thread_name_prefix="rim-kernel"
+            )
+        return pool
+
+
+def _forget_pools_after_fork() -> None:
+    # A forked child inherits the pools' bookkeeping but not their
+    # threads; it builds its own on first use.
+    global _pools_lock
+    _pools.clear()
+    _pools_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools_after_fork)

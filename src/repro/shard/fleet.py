@@ -15,13 +15,13 @@ flush, and update delivery — the full serving round-trip.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.channel.sampler import CsiTrace
 from repro.core.config import RimConfig
+from repro.perf.threads import usable_cpus
 from repro.serve.session import ServeConfig
 from repro.serve.simulate import simulated_receivers, store_receivers
 from repro.shard.router import ShardRouter
@@ -189,9 +189,9 @@ def measure_shard_scaling(
     The same pre-sampled receiver workload replays once per shard count
     through a fresh fleet; ``efficiency`` at S shards is
     ``(rate_S / rate_1) / S`` — 1.0 is perfectly linear.  Efficiency is
-    only meaningful when the host has at least S cores; the ``n_cpus``
-    field lets consumers (the CI gate) skip rows the hardware cannot
-    demonstrate.
+    only meaningful when the process may use at least S CPUs; the
+    ``n_cpus`` field (usable CPUs, :func:`repro.perf.usable_cpus`) lets
+    consumers (the CI gate) skip rows the hardware cannot demonstrate.
     """
     shard_counts = sorted(set(int(s) for s in shard_counts))
     if not shard_counts or shard_counts[0] < 1:
@@ -227,7 +227,7 @@ def measure_shard_scaling(
     return {
         "shard_counts": shard_counts,
         "n_sessions": len(receivers),
-        "n_cpus": os.cpu_count() or 1,
+        "n_cpus": usable_cpus(),
         "start_method": start_method or "auto",
         "min_linear_efficiency": MIN_LINEAR_EFFICIENCY,
         "rows": rows,

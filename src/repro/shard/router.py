@@ -50,7 +50,7 @@ import signal
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
@@ -63,6 +63,7 @@ from repro.core.streaming import MotionUpdate
 from repro.io import array_to_manifest
 from repro.obs.flight import FLIGHT
 from repro.obs.provenance import SampleProvenance
+from repro.perf.threads import usable_cpus
 from repro.serve.session import PUSH_ACCEPTED, ServeConfig
 from repro.shard import messages as msg
 from repro.shard.ring import HashRing
@@ -169,12 +170,25 @@ class ShardSessionProxy:
         raise KeyError(f"unknown session {self.name!r}")
 
 
+def worker_rim_config(rim_config: Optional[RimConfig], n_shards: int) -> RimConfig:
+    """The estimator config a fleet's workers run: ``rim_config`` with a
+    default ``kernel_threads=0`` resolved to an even split of this
+    process's CPUs, so N workers' kernel job pools share the host
+    instead of each claiming all of it (BLAS runs one thread in every
+    worker, :mod:`repro.perf.threads`)."""
+    config = rim_config or RimConfig()
+    if config.kernel_threads == 0:
+        config = replace(config, kernel_threads=max(1, usable_cpus() // n_shards))
+    return config
+
+
 class ShardRouter:
     """Spawn and drive a fleet of shard workers (see module docstring).
 
     Args:
         n_shards: Worker process count.
-        rim_config: Estimator config shared by every session.
+        rim_config: Estimator config shared by every session; workers
+            get it through :func:`worker_rim_config`.
         serve_config: Serving config shared by every session.
         record_dir: Shared ingest-recording root.  Required for
             failover resume; None disables recording (a dead shard's
@@ -221,13 +235,14 @@ class ShardRouter:
         self._ring = HashRing([], vnodes=vnodes)
         self._shards: Dict[str, _Shard] = {}
 
+        worker_config = worker_rim_config(rim_config, self.n_shards)
         ctx = multiprocessing.get_context(self.start_method)
         for k in range(self.n_shards):
             name = f"shard-{k}"
             init = WorkerInit(
                 shard_name=name,
                 record_dir=None if self.record_dir is None else str(self.record_dir),
-                rim_config=rim_config,
+                rim_config=worker_config,
                 serve_config=self.serve_config,
                 chunk_samples=self.chunk_samples,
                 enable_obs=self.enable_worker_obs,

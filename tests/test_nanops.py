@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nanops import nanmax, nanmean, nanmedian
 
@@ -61,3 +63,48 @@ def test_does_not_suppress_warnings_for_caller(func):
 def test_nanmax_all_nan_no_value_error():
     # Plain np.nanmax warns (not raises) on all-NaN; the wrapper must too.
     assert np.isnan(nanmax(np.array([np.nan, np.nan])))
+
+
+# Finite values bounded away from overflow (float32 included): at |x|
+# near the float max, np.nanmedian's own code paths disagree (it halves
+# h + h for odd counts on small slices but not on large ones).
+_cells = st.one_of(
+    st.just(np.nan),
+    st.floats(-1e30, 1e30, allow_nan=False),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.0]),
+)
+
+
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 9),
+    axis=st.sampled_from([0, 1, -1]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_nanmedian_equals_numpy_bit_for_bit(rows, cols, axis, dtype, data):
+    """Clean, NaN-carrying and all-NaN slices all give np.nanmedian's bits."""
+    cells = data.draw(st.lists(_cells, min_size=rows * cols, max_size=rows * cols))
+    values = np.array(cells, dtype=np.float64).reshape(rows, cols).astype(dtype)
+    if data.draw(st.booleans()):
+        values[data.draw(st.integers(0, rows - 1))] = np.nan  # an all-NaN row
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.nanmedian(values, axis=axis)
+    got = nanmedian(values, axis=axis)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_nanmedian_lag_matrix_rows():
+    """A streaming-shaped band matrix: most rows carry NaN at the band edge."""
+    rng = np.random.default_rng(3)
+    values = rng.random((300, 201))
+    values[:, :40] = np.nan
+    values[::7, 150:] = np.nan
+    values[5] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.nanmedian(values, axis=1)
+    assert nanmedian(values, axis=1).tobytes() == want.tobytes()

@@ -347,3 +347,35 @@ class TestFleet:
         for row in result["sessions"]:
             assert row["updates"] > 0
             assert row["shard"].startswith("shard-")
+
+    def test_single_sample_flush_through_one_shard(self, shard_traces):
+        """A shard worker flushes a one-sample session like StreamingRim does."""
+        name, trace = shard_traces[0]
+        router = ShardRouter(1, rim_config=RIM_CFG, serve_config=SERVE_CFG)
+        try:
+            router.wait_ready()
+            router.create(
+                name, trace.array, trace.sampling_rate,
+                carrier_wavelength=trace.carrier_wavelength,
+            )
+            router.push(name, trace.data[0], float(trace.times[0]))
+            updates = router.flush(name)
+        finally:
+            router.close()
+        assert len(updates) == 1
+        np.testing.assert_array_equal(updates[0].times, trace.times[:1])
+        np.testing.assert_array_equal(updates[0].moving, [False])
+        assert updates[0].total_distance == 0.0
+
+
+def test_workers_split_usable_cpus_between_job_pools():
+    from repro.perf import usable_cpus
+    from repro.shard.router import worker_rim_config
+
+    cpus = usable_cpus()
+    assert worker_rim_config(None, 1).kernel_threads == cpus
+    assert worker_rim_config(RIM_CFG, 2).kernel_threads == max(1, cpus // 2)
+    assert worker_rim_config(RIM_CFG, 2).max_lag == RIM_CFG.max_lag
+    assert worker_rim_config(RIM_CFG, 4 * cpus).kernel_threads == 1
+    explicit = RimConfig(max_lag=50, kernel_threads=3)
+    assert worker_rim_config(explicit, 2) is explicit

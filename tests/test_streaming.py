@@ -42,6 +42,23 @@ class TestStreamingRim:
         )
         assert stream.push(trace.data[0], trace.times[0]) is None
 
+    def test_single_sample_flush_emits_still_update(self, three_antenna, fast_sampler):
+        """One sample defines no clock: flush reports it still, not an error."""
+        traj = still_trajectory((10.0, 8.0), 0.2)
+        trace = fast_sampler.sample(traj, three_antenna)
+        stream = StreamingRim(
+            three_antenna, trace.sampling_rate, RimConfig(max_lag=40), block_seconds=1.0
+        )
+        assert stream.push(trace.data[0], trace.times[0]) is None
+        update = stream.flush()
+        assert update is not None
+        np.testing.assert_array_equal(update.times, trace.times[:1])
+        np.testing.assert_array_equal(update.moving, [False])
+        np.testing.assert_array_equal(update.speed, [0.0])
+        assert update.block_distance == 0.0 and stream.total_distance == 0.0
+        assert update.health is not None and update.health.n_samples == 1
+        assert stream.flush() is None
+
     def test_matches_offline_distance(self, three_antenna, fast_sampler):
         cfg = RimConfig(max_lag=50)
         traj = line_trajectory((10.0, 8.0), 0.0, 0.5, 3.0)
