@@ -1,4 +1,4 @@
-"""Batched DP peak tracking: banded native sweep + exact numpy fallback.
+"""Batched DP peak tracking: linear-time native pass + exact numpy fallback.
 
 The reference tracker (:func:`repro.core.tracking.track_peaks`) runs the
 Bellman recursion of §4.2 one matrix at a time, with a per-step ``(L, L)``
@@ -7,29 +7,34 @@ supplies the batched formulation the ``batched`` kernel backend uses for
 its ``track_paths`` capability: the forward pass runs over a whole
 *stack* of alignment matrices at once, and two implementations serve it —
 
-* a **native banded kernel** (``_dptrack.c``), compiled on demand with
-  the system C compiler and cached as a shared library.  It sweeps the
-  candidate table lag-outermost with a branchless blend that reproduces
-  ``np.argmax``'s first-index tie-break exactly, and prunes the sweep to
-  the data-adaptive dominance radius ``(base_max - base_min) / c + 4``
-  (see the safety argument in the C source and
-  ``docs/performance.md``);
+* a **native upper-envelope kernel** (``_dptrack.c``), compiled on demand
+  with the system C compiler and cached as a shared library.  Because
+  the jump cost is linear in the lag distance, prefix/suffix top-2
+  maxima of ``base[l] ± c·l`` name each column's winner in O(L) per
+  step; a column whose runner-up lies within the rounding margin of the
+  winner re-runs the reference's full sweep, so ties and near-ties are
+  decided exactly (see the argument in the C source and
+  ``docs/performance.md``).  Those columns are counted in the
+  ``dp.exact_sweep_columns`` obs counter;
 * an **exact numpy fallback** that evaluates the same candidate sums
   batched across matrices (``cand[p, n, l] = base[p, l] + jc[n, l]``,
   lossless because the jump cost is symmetric) with a contiguous
   last-axis argmax.
 
-Both paths produce bit-identical backpointers, tie decisions, and scores
-relative to the reference recursion — enforced by
-``tests/test_tracking_dp.py`` and ``tests/test_kernel_backends.py`` —
-so which one serves a request is purely a speed question.  Compilation
-failures (no compiler, sandboxed filesystem, exotic platform) silently
-select the fallback; set ``RIM_DP_NATIVE=0`` to force it.
+Both take their jump costs from one cached row ``J[d] = ω·d/(L-1)``
+per lag distance, the reference's element expression.  Both produce
+bit-identical backpointers, tie decisions, and scores relative to the
+reference recursion (enforced by ``tests/test_tracking_dp.py`` and
+``tests/test_kernel_backends.py``), so which one serves a request is
+purely a speed question.  Compilation failures (no compiler, sandboxed
+filesystem, exotic platform) silently select the fallback; set
+``RIM_DP_NATIVE=0`` to force it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -39,6 +44,8 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro import obs
 
 RIM_DP_NATIVE_ENV = "RIM_DP_NATIVE"  # "0" disables the compiled kernel
 RIM_DP_CACHE_ENV = "RIM_DP_CACHE_DIR"  # overrides the .so cache directory
@@ -63,7 +70,7 @@ def _compile(source: Path, out: Path) -> bool:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out.parent))
     os.close(fd)
     base_cmd = ["cc", "-O3", "-fPIC", "-shared", str(source), "-o", tmp, "-lm"]
-    # -march=native unlocks vectorization of the blend loop; some
+    # -march=native tunes the kernel for the host CPU; some
     # toolchains (older cross setups) reject it, so retry portably.
     for extra in (["-march=native"], []):
         cmd = base_cmd[:1] + extra + base_cmd[1:]
@@ -113,9 +120,9 @@ def _load_native() -> Optional[ctypes.CDLL]:
                     fn.argtypes = [
                         ptr, ptr, ptr, i32p,
                         ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t,
-                        real,
+                        ctypes.c_double,
                     ]
-                    fn.restype = ctypes.c_int
+                    fn.restype = ctypes.c_int64
                 bt = lib.dp_backtrace
                 bt.argtypes = [
                     ctypes.POINTER(ctypes.c_int32),
@@ -131,46 +138,54 @@ def _load_native() -> Optional[ctypes.CDLL]:
 
 
 def native_available() -> bool:
-    """Whether the compiled banded kernel is (buildable and) loaded."""
+    """Whether the compiled DP kernel is (buildable and) loaded."""
     return _load_native() is not None
 
 
-def _jump_cost(n_lags: int, transition_weight: float, dtype) -> np.ndarray:
-    """The (L, L) table ω·|l-n|/(2W), in the reference's exact expression."""
-    lag_axis = np.arange(n_lags)
-    jc = (
-        transition_weight
-        * np.abs(lag_axis[:, None] - lag_axis[None, :])
-        / max(1, n_lags - 1)
+@functools.lru_cache(maxsize=32)
+def _jump_table(n_lags: int, transition_weight: float, dtype: np.dtype) -> np.ndarray:
+    """J[d] = ω·d/(2W) per lag distance d, in the reference's exact expression.
+
+    The reference's ``(L, L)`` table holds ``J[|l - n|]`` element for
+    element, so both forward passes index this one read-only row.
+    """
+    jump = np.asarray(
+        transition_weight * np.arange(n_lags) / max(1, n_lags - 1), dtype=dtype
     )
-    return np.ascontiguousarray(jc, dtype=dtype)
+    jump.setflags(write=False)
+    return jump
 
 
 def _forward_native(
-    lib: ctypes.CDLL, e: np.ndarray, jc: np.ndarray, c: float
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Run the compiled forward pass; None when L exceeds its stack cap."""
+    lib: ctypes.CDLL, e: np.ndarray, jump: np.ndarray, c: float
+) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """Run the compiled forward pass; None when its scratch allocation fails.
+
+    Returns ``(backptr, score, swept)`` where ``swept`` counts the columns
+    that took the exact full sweep instead of the envelope winner.
+    """
     n_mat, t, n_lags = e.shape
     real = e.dtype.type
     score = np.empty((n_mat, n_lags), dtype=e.dtype)
-    backptr = np.zeros((t, n_mat, n_lags), dtype=np.int32)
+    # Row 0 is never read: the backtrace stops at step 1.
+    backptr = np.empty((t, n_mat, n_lags), dtype=np.int32)
     fn = lib.dp_forward_f32 if real is np.float32 else lib.dp_forward_f64
     ctype = ctypes.c_float if real is np.float32 else ctypes.c_double
     ptr = ctypes.POINTER(ctype)
     i32p = ctypes.POINTER(ctypes.c_int32)
-    rc = fn(
+    swept = fn(
         e.ctypes.data_as(ptr),
-        jc.ctypes.data_as(ptr),
+        jump.ctypes.data_as(ptr),
         score.ctypes.data_as(ptr),
         backptr.ctypes.data_as(i32p),
         ctypes.c_ssize_t(n_mat),
         ctypes.c_ssize_t(t),
         ctypes.c_ssize_t(n_lags),
-        ctype(c),
+        ctypes.c_double(c),
     )
-    if rc != 0:
+    if swept < 0:
         return None
-    return backptr, score
+    return backptr, score, swept
 
 
 def _forward_numpy(e: np.ndarray, jc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -216,17 +231,19 @@ def dp_track_batch(
     """
     e = np.ascontiguousarray(e_stack)
     n_mat, t, n_lags = e.shape
-    jc = _jump_cost(n_lags, transition_weight, e.dtype)
+    jump = _jump_table(n_lags, transition_weight, e.dtype)
     lib = _load_native()
     native = None
     if lib is not None:
-        # c > 0 is the per-lag cost slope the dominance band divides by.
+        # c > 0 is the per-lag cost slope the upper envelope runs on.
         c = -transition_weight / max(1, n_lags - 1)
-        native = _forward_native(lib, e, jc, c)
+        native = _forward_native(lib, e, jump, c)
     if native is not None:
-        backptr, score = native
+        backptr, score, swept = native
+        obs.add("dp.exact_sweep_columns", swept)
     else:
-        backptr, score = _forward_numpy(e, jc)
+        lag = np.arange(n_lags)
+        backptr, score = _forward_numpy(e, jump[np.abs(lag[:, None] - lag[None, :])])
 
     lag_indices = np.empty((n_mat, t), dtype=np.int64)
     lag_indices[:, -1] = np.argmax(score, axis=1)

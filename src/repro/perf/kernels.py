@@ -263,8 +263,9 @@ class BatchedBackend(KernelBackend):
 
         Matrices are grouped by shape (one pipeline stage's matrices all
         share one) and each group runs through
-        :func:`repro.perf.dptrack.dp_track_batch` — the banded native
-        kernel when available, the exact batched numpy recursion
+        :func:`repro.perf.dptrack.dp_track_batch` — the linear-time
+        upper-envelope native kernel when available (near-tie columns
+        re-run the exact sweep), the exact batched numpy recursion
         otherwise.  In float64 mode the paths are bit-identical to the
         reference oracle; in float32 mode the evidence is quantized once
         on entry and tracked at single precision.

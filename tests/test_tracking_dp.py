@@ -1,8 +1,13 @@
 """Unit tests for DP peak tracking (Eqns. 6-8) and sub-sample refinement."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.alignment import AlignmentMatrix
 from repro.core.tracking import greedy_argmax_path, refine_lags, track_peaks
 from repro.perf import dptrack
@@ -241,8 +246,7 @@ class TestBatchedDPMatchesReference:
         self._check(rng.uniform(0, 1, size=(3, 6, 1)))
 
     def test_wide_matrix_beyond_native_stack_cap(self, dp_impl, rng):
-        """L > DP_MAX_LAGS exceeds the C kernel's stack scratch; the
-        batch entry point must fall back to the exact numpy path."""
+        """Wide matrices (L > 512) run natively and stay exact."""
         stack = rng.uniform(0, 1, size=(2, 4, 601))
         self._check(stack)
 
@@ -257,6 +261,104 @@ class TestBatchedDPMatchesReference:
         idx32, sc32 = dp_track_batch(e64.astype(np.float32), -2.0)
         np.testing.assert_array_equal(idx32, idx64)
         np.testing.assert_array_equal(sc32, sc64)
+
+
+def _numpy_batch(e, transition_weight):
+    with mock.patch.object(dptrack, "_load_native", return_value=None):
+        return dp_track_batch(e, transition_weight)
+
+
+def _forward_pair(e, transition_weight):
+    """(backptr, score rows) of the native and the numpy forward pass."""
+    n_lags = e.shape[2]
+    jump = dptrack._jump_table(n_lags, transition_weight, e.dtype)
+    lag = np.arange(n_lags)
+    c = -transition_weight / max(1, n_lags - 1)
+    bp_n, sc_n, _ = dptrack._forward_native(dptrack._load_native(), e, jump, c)
+    bp_f, sc_f = dptrack._forward_numpy(e, jump[np.abs(lag[:, None] - lag[None, :])])
+    return (bp_n[1:], sc_n), (bp_f[1:], sc_f)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint8)
+
+
+@st.composite
+def dp_stacks(draw):
+    """Evidence stacks that stress the envelope's rounding margin: smooth
+    values, a coarse grid (exact ties), all-zero rows, NaN band borders
+    and large score offsets, at edge shapes T=1, L=1 and L > 512."""
+    kind = draw(st.sampled_from(
+        ["continuous", "quantized", "zero_rows", "nan_borders", "offset"]
+    ))
+    t = draw(st.sampled_from([1, 2, 3, 9, 24]))
+    n_lags = draw(st.sampled_from([1, 2, 5, 11, 41, 121, 601]))
+    if n_lags > 512:
+        t = min(t, 3)  # the reference builds an (L, L) table per step
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.uniform(0, 1, (2, t, n_lags))
+    if kind == "quantized":
+        stack = rng.integers(0, 4, stack.shape) / 4.0
+    elif kind == "zero_rows":
+        stack[:, rng.uniform(size=t) < 0.5] = 0.0
+    elif kind == "nan_borders":
+        # Alignment matrices lose the lags a short window cannot reach.
+        for k in range(t):
+            cut = int(rng.integers(0, n_lags // 2 + 1))
+            stack[:, k, :cut] = np.nan
+            stack[:, k, n_lags - cut:] = np.nan
+    elif kind == "offset":
+        stack += draw(st.sampled_from([1e3, 1e4, 1e5, 1e6]))
+    weight = draw(st.sampled_from([-2.0, -0.5, -1e-3, -10.0]))
+    return stack, weight
+
+
+class TestEnvelopeKernelExact:
+    """The native upper-envelope pass must agree with the numpy fallback
+    and the reference recursion bit for bit: backpointers, score rows,
+    lag indices and path scores, in float64 and float32."""
+
+    @given(dp_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracles(self, case):
+        if not native_available():
+            pytest.skip("no C compiler available for the native DP kernel")
+        stack, weight = case
+        for dtype in (np.float64, np.float32):
+            e = _zeroed(stack).astype(dtype)
+            (bp_n, sc_n), (bp_f, sc_f) = _forward_pair(e, weight)
+            np.testing.assert_array_equal(bp_n, bp_f)
+            np.testing.assert_array_equal(_bits(sc_n), _bits(sc_f))
+            idx, scores = dp_track_batch(e, weight)
+            want_idx, want_scores = _numpy_batch(e, weight)
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(_bits(scores), _bits(want_scores))
+            if dtype is np.float64:
+                ref_idx, ref_scores = _oracle(stack, weight)
+                np.testing.assert_array_equal(idx, ref_idx)
+                np.testing.assert_array_equal(_bits(scores), _bits(ref_scores))
+
+    def _swept(self, e):
+        obs.reset()
+        obs.enable()
+        try:
+            dp_track_batch(e, -2.0)
+            return obs.METRICS.counter("dp.exact_sweep_columns").value
+        finally:
+            obs.disable()
+            obs.reset()
+
+    def test_ties_take_the_exact_sweep(self, rng):
+        if not native_available():
+            pytest.skip("no C compiler available for the native DP kernel")
+        assert self._swept(rng.integers(0, 4, size=(3, 16, 21)) / 4.0) > 0
+
+    def test_distinct_scores_take_the_envelope(self, rng):
+        """Continuous evidence has no near-ties at float64 resolution, so
+        no column should pay for the full sweep."""
+        if not native_available():
+            pytest.skip("no C compiler available for the native DP kernel")
+        assert self._swept(rng.uniform(0, 1, size=(3, 40, 121))) == 0
 
 
 class TestSubSampleAccuracy:
