@@ -8,7 +8,8 @@ delayed, or the connection severed mid-stream.  It is applied by the
 client (:class:`repro.net.client.NetClient`) between framing and the
 socket, so the server under test sees genuinely damaged wire traffic.
 
-Every decision is a pure function of ``(seed, seq)``, which is what makes
+Every decision is a pure function of ``(seed, seq)``: one seeded draw
+per seq, :meth:`NetFaultPlan.decide`, makes all five.  That is what makes
 reconnect-resume testable: when the client resends a window after a
 reconnect, each frame is re-faulted exactly as before, so the set of
 sequence numbers that can ever reach the server —
@@ -32,9 +33,24 @@ Fault classes (all independent per sample, except reordering):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, NamedTuple, Tuple
 
-import numpy as np
+from numpy.random import default_rng
+
+
+class SeqFaults(NamedTuple):
+    """A plan's five fault decisions for one seq, made from one draw."""
+
+    drop: bool
+    duplicate: bool
+    corrupt: bool
+    delay: bool
+    swap: bool  # delivered after seq + 1 (decided at even seqs only)
+
+    @property
+    def lost(self) -> bool:
+        """Never reaches the session: dropped, or corrupted (CRC drop)."""
+        return self.drop or self.corrupt
 
 
 @dataclass(frozen=True)
@@ -95,32 +111,38 @@ class NetFaultPlan:
 
     # -- per-sample decisions ----------------------------------------------
 
-    def _draws(self, seq: int) -> np.ndarray:
-        """Five uniform draws for sample ``seq`` (drop, dup, corrupt,
-        delay, reorder), stable across processes and resends."""
-        rng = np.random.default_rng((0x52494D4E, self.seed, seq))
-        return rng.uniform(size=5)
+    def decide(self, seq: int) -> SeqFaults:
+        """All five decisions for sample ``seq``, from one seeded draw.
+
+        The draw is a pure function of ``(seed, seq)``, stable across
+        processes and resends.  Swaps are decided only at even seqs, so
+        they are disjoint by construction.
+        """
+        rng = default_rng((0x52494D4E, self.seed, seq))
+        drop, dup, corrupt, delay, reorder = rng.uniform(size=5).tolist()
+        return SeqFaults(
+            drop=drop < self.drop_fraction,
+            duplicate=dup < self.duplicate_fraction,
+            corrupt=corrupt < self.corrupt_fraction,
+            delay=delay < self.delay_fraction,
+            swap=seq % 2 == 0 and reorder < self.reorder_fraction,
+        )
 
     def drops(self, seq: int) -> bool:
-        return bool(self._draws(seq)[0] < self.drop_fraction)
+        return self.decide(seq).drop
 
     def duplicates(self, seq: int) -> bool:
-        return bool(self._draws(seq)[1] < self.duplicate_fraction)
+        return self.decide(seq).duplicate
 
     def corrupts(self, seq: int) -> bool:
-        return bool(self._draws(seq)[2] < self.corrupt_fraction)
+        return self.decide(seq).corrupt
 
     def delays(self, seq: int) -> bool:
-        return bool(self._draws(seq)[3] < self.delay_fraction)
+        return self.decide(seq).delay
 
     def swaps_with_next(self, seq: int) -> bool:
-        """True when samples ``seq`` and ``seq+1`` are delivered swapped.
-
-        Decided only at even seqs, so swaps are disjoint by construction.
-        """
-        if seq % 2 != 0:
-            return False
-        return bool(self._draws(seq)[4] < self.reorder_fraction)
+        """True when samples ``seq`` and ``seq+1`` are delivered swapped."""
+        return self.decide(seq).swap
 
     def corrupt_bytes(self, seq: int, frame: bytes) -> bytes:
         """Flip one payload byte of an encoded frame (header left intact
@@ -130,7 +152,7 @@ class NetFaultPlan:
         if len(frame) <= HEADER_SIZE:
             at = len(frame) - 1  # empty payload: flip inside the CRC field
         else:
-            rng = np.random.default_rng((0xC0584255, self.seed, seq))
+            rng = default_rng((0xC0584255, self.seed, seq))
             at = HEADER_SIZE + int(rng.integers(0, len(frame) - HEADER_SIZE))
         flipped = bytearray(frame)
         flipped[at] ^= 0x5A
@@ -144,11 +166,7 @@ class NetFaultPlan:
         deterministic); everything else — duplicated, reordered, delayed,
         interrupted by a disconnect — is delivered eventually.
         """
-        return frozenset(
-            seq
-            for seq in range(n)
-            if not (self.drops(seq) or self.corrupts(seq))
-        )
+        return frozenset(seq for seq in range(n) if not self.decide(seq).lost)
 
     def expected_repairs(self, n: int) -> dict:
         """Fault counts the server should account for over ``range(n)``.
@@ -158,19 +176,15 @@ class NetFaultPlan:
         undeliverable seq below the delivered high-water mark must
         eventually be skipped.
         """
-        delivered = self.delivered_seqs(n)
-        high = max(delivered) if delivered else -1
-        gaps = sum(1 for seq in range(high + 1) if seq not in delivered)
-        corrupted = sum(1 for seq in range(n) if self.corrupts(seq))
-        duplicated = sum(
-            1
-            for seq in range(n)
-            if seq in delivered and self.duplicates(seq)
-        )
+        decisions = [self.decide(seq) for seq in range(n)]
+        delivered = [not f.lost for f in decisions]
+        high = max((seq for seq in range(n) if delivered[seq]), default=-1)
         return {
-            "net_crc_dropped": corrupted,
-            "net_gap_samples": gaps,
-            "net_duplicate_dropped": duplicated,
+            "net_crc_dropped": sum(f.corrupt for f in decisions),
+            "net_gap_samples": delivered[: high + 1].count(False),
+            "net_duplicate_dropped": sum(
+                ok and f.duplicate for ok, f in zip(delivered, decisions)
+            ),
         }
 
     # -- parsing -----------------------------------------------------------
@@ -223,12 +237,14 @@ class WireFaultInjector:
 
     Sits between the client's framing and its socket writes.  Stateful
     only for reordering (one held frame) and the single mid-stream
-    disconnect; everything else is the plan's pure per-seq decisions.
+    disconnect; everything else is the plan's pure per-seq decisions,
+    drawn once per admitted frame.
     """
 
     def __init__(self, plan: NetFaultPlan):
         self.plan = plan
-        self._held: "Tuple[int, bytes] | None" = None  # (seq, frame) awaiting swap
+        # (frame, duplicate decision) awaiting its swap partner
+        self._held: "Tuple[bytes, bool] | None" = None
         self._sent_data = 0
         self._disconnected_once = False
         self.n_dropped = 0
@@ -246,22 +262,24 @@ class WireFaultInjector:
         plan = self.plan
         if plan.is_clean:
             return [(frame, 0.0)]
-        out: List[Tuple[bytes, float]] = []
+        faults = plan.decide(seq)
 
-        if plan.drops(seq):
+        if faults.drop:
             self.n_dropped += 1
             frame = b""
-        elif plan.corrupts(seq):
+        elif faults.corrupt:
             self.n_corrupted += 1
             frame = plan.corrupt_bytes(seq, frame)
 
-        delay = plan.delay_s if (frame and plan.delays(seq)) else 0.0
+        delay = plan.delay_s if (frame and faults.delay) else 0.0
         if delay:
             self.n_delayed += 1
+        duplicate = bool(frame) and faults.duplicate
 
+        out: List[Tuple[bytes, float]] = []
         if self._held is not None:
             # ``seq`` is the successor of the held frame: emit swapped.
-            held_seq, held_frame = self._held
+            held_frame, held_duplicate = self._held
             self._held = None
             if frame:
                 out.append((frame, delay))
@@ -269,21 +287,21 @@ class WireFaultInjector:
                 out.append((held_frame, 0.0))
             if frame and held_frame:
                 self.n_reordered += 1
-            if frame and plan.duplicates(seq):
+            if duplicate:
                 self.n_duplicated += 1
                 out.append((frame, 0.0))
-            if held_frame and plan.duplicates(held_seq):
+            if held_duplicate:
                 self.n_duplicated += 1
                 out.append((held_frame, 0.0))
             return out
 
-        if plan.swaps_with_next(seq):
-            self._held = (seq, frame)
+        if faults.swap:
+            self._held = (frame, duplicate)
             return []
 
         if frame:
             out.append((frame, delay))
-            if plan.duplicates(seq):
+            if duplicate:
                 self.n_duplicated += 1
                 out.append((frame, 0.0))
         return out
@@ -292,12 +310,12 @@ class WireFaultInjector:
         """Release a swap held at end-of-stream (no successor is coming)."""
         if self._held is None:
             return []
-        held_seq, held_frame = self._held
+        held_frame, held_duplicate = self._held
         self._held = None
         if not held_frame:
             return []
         out = [(held_frame, 0.0)]
-        if self.plan.duplicates(held_seq):
+        if held_duplicate:
             self.n_duplicated += 1
             out.append((held_frame, 0.0))
         return out

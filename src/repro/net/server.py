@@ -44,8 +44,11 @@ Transport state — decoder, sequence tracker, ack/update bookkeeping — is
 touched only from the loop thread.  Estimator work
 (``SessionManager.push``, ``ServeSession.poll``/``flush``) runs on a
 dedicated single-thread executor per session, preserving the serve
-layer's single-producer contract while keeping the event loop free: a
-slow estimator block (notably ``backpressure="block"``, whose offer
+layer's single-producer contract while keeping the event loop free.
+Each socket read costs one ingest-thread job: it pushes the samples the
+read released, one ``push`` per sample, then polls (or, on BYE, flushes)
+the session, and hands the updates back to the loop to send.  A slow
+estimator block (notably ``backpressure="block"``, whose offer
 drains the whole queue synchronously) stalls only its own session, never
 heartbeats, acks, or other sessions' I/O.
 """
@@ -427,8 +430,8 @@ class NetServer:
                         break
                 if att is not None and not done:
                     self._note_decoder_faults(att, decoder)
-                    await self._deliver(att, batch)
-                    await self._pump_session(att, writer)
+                    fresh = await self._ingest_read(att, batch)
+                    self._pump_session(att, writer, fresh)
                 await writer.drain()
                 if done:
                     break
@@ -589,7 +592,8 @@ class NetServer:
         """Dispatch one post-HELLO frame; True ends the connection.
 
         DATA frames only extend ``batch`` (delivered to the ingest
-        thread once per read); everything else is handled in place.
+        thread in the read's one job); everything else is handled in
+        place.
         """
         if frame.frame_type == framing.FRAME_DATA:
             obs.add("net.data_rx")
@@ -632,11 +636,9 @@ class NetServer:
         if frame.frame_type == framing.FRAME_PONG:
             return False
         if frame.frame_type == framing.FRAME_BYE:
-            await self._deliver(att, batch)
-            batch.clear()
             self._note_decoder_faults(att, decoder)
-            await self._finish_stream_async(att)
-            await self._pump_session(att, writer, force_ack=True)
+            await self._finish_stream_async(att, batch)
+            self._pump_session(att, writer, [], force_ack=True)
             writer.write(framing.pack_frame(framing.FRAME_BYE, att.session_id))
             # The BYE rides behind the final updates on the same stream,
             # and a finished session cannot be reattached: the unacked
@@ -653,21 +655,32 @@ class NetServer:
 
     # -- estimator offload (per-session ingest thread) ----------------------
 
-    async def _deliver(
+    async def _ingest_read(
         self, att: _Attachment, batch: List[Tuple[int, float, np.ndarray]]
-    ) -> None:
-        """Push tracker-released samples on the session's ingest thread."""
-        if not batch:
-            return
-        await asyncio.get_running_loop().run_in_executor(
-            att.executor, self._ingest_samples, att, list(batch)
+    ) -> list:
+        """Push a read's released samples and poll, in one ingest-thread
+        job; returns the updates the poll collected."""
+        fresh = await asyncio.get_running_loop().run_in_executor(
+            att.executor, self._ingest_and_poll, att, list(batch)
         )
         att.delivered_since_ack += len(batch)
+        return fresh
+
+    def _ingest_and_poll(
+        self, att: _Attachment, batch: List[Tuple[int, float, np.ndarray]]
+    ) -> list:
+        """Ingest-thread body of a read: push, then fold repairs and poll
+        (a finished session's updates wait in ``final_updates``)."""
+        self._ingest_samples(att, batch)
+        if att.finished:
+            return []
+        att.fold_repairs()
+        return att.session.poll()
 
     def _ingest_samples(
         self, att: _Attachment, batch: List[Tuple[int, float, np.ndarray]]
     ) -> None:
-        """Ingest-thread body: feed delivered samples to the session."""
+        """Feed delivered samples to the session (on its ingest thread)."""
         for seq, timestamp, packet in batch:
             self.manager.push(
                 att.name,
@@ -690,11 +703,14 @@ class NetServer:
             return None
         return SampleProvenance(f"{att.name}:{seq}", created_s=created_s)
 
-    async def _finish_stream_async(self, att: _Attachment) -> None:
-        """Deliver held samples, flush the estimator, mark finished."""
+    async def _finish_stream_async(
+        self, att: _Attachment, batch: List[Tuple[int, float, np.ndarray]]
+    ) -> None:
+        """Deliver the read's samples and the held ones, flush the
+        estimator, mark finished — one ingest-thread job."""
         if att.finished:
             return
-        held = att.tracker.flush()
+        held = batch + att.tracker.flush()
         await asyncio.get_running_loop().run_in_executor(
             att.executor, self._finish_session, att, held
         )
@@ -705,13 +721,7 @@ class NetServer:
         self, att: _Attachment, held: List[Tuple[int, float, np.ndarray]]
     ) -> None:
         """Ingest-thread body of the finish: push, fold, flush."""
-        for seq, timestamp, packet in held:
-            self.manager.push(
-                att.name,
-                packet,
-                timestamp,
-                provenance=self._sample_provenance(att, seq),
-            )
+        self._ingest_samples(att, held)
         # Fold transport faults in *before* the estimator flush so the
         # final block's HealthReport carries the net_* repairs.
         att.fold_repairs()
@@ -724,11 +734,6 @@ class NetServer:
             return
         self._finish_session(att, att.tracker.flush())
         att.finished = True
-
-    def _poll_session(self, att: _Attachment) -> list:
-        """Ingest-thread body of a poll: fold repairs, drain, collect."""
-        att.fold_repairs()
-        return att.session.poll()
 
     # -- frame emission ------------------------------------------------------
 
@@ -746,28 +751,26 @@ class NetServer:
         decoder._crc_seen = decoder.n_crc_dropped  # type: ignore[attr-defined]
         decoder._resync_seen = decoder.n_resyncs  # type: ignore[attr-defined]
 
-    async def _pump_session(
+    def _pump_session(
         self,
         att: _Attachment,
         writer: asyncio.StreamWriter,
+        fresh: list,
         force_ack: bool = False,
     ) -> None:
         """Queue fresh updates, stream unsent ones, and (maybe) ACK.
 
-        Fresh updates are sequenced into the unacked buffer whether or
-        not they can be written right now.  Writes go only to the
-        session's *live* connection: a stale handler (superseded by a
-        reconnect mid-await) still queues, but leaves transmission to
-        the current connection, so nothing is marked sent on a dead
-        socket.
+        ``fresh`` holds the updates the read's ingest job polled; a
+        finished session's final updates join them.  Fresh updates are
+        sequenced into the unacked buffer whether or not they can be
+        written right now.  Writes go only to the session's *live*
+        connection: a stale handler (superseded by a reconnect
+        mid-await) still queues, but leaves transmission to the current
+        connection, so nothing is marked sent on a dead socket.
         """
         if att.finished:
-            fresh = att.final_updates
+            fresh = fresh + att.final_updates
             att.final_updates = []
-        else:
-            fresh = await asyncio.get_running_loop().run_in_executor(
-                att.executor, self._poll_session, att
-            )
         for update in fresh:
             att.unacked_updates[att.update_seq] = framing.encode_update(update)
             # UPDATE payloads exclude stats by design (golden-bytes lock),

@@ -150,9 +150,10 @@ class BaseRowStore:
     For each ordered pair key ``(i, j)`` it holds a ``(T, 2W+1)`` value
     matrix (NaN where never computed or outside the lag band) and a
     boolean ``known`` mask of the same shape marking cells that have been
-    evaluated.  Requests only compute cells that are requested, inside
-    the band, and not yet known — which is what makes pre-screen rows,
-    cross-stage rows, and cross-block seeded rows free.
+    evaluated.  Requests compute only rows holding requested, in-band,
+    not-yet-known cells — which is what makes pre-screen rows,
+    cross-stage rows, and cross-block seeded rows free (a GEMM cluster
+    does recompute every row it spans).
     """
 
     def __init__(self, norm: np.ndarray, max_lag: int, dtype=np.float64):
@@ -323,9 +324,9 @@ class BatchedBackend(KernelBackend):
             time_stride=time_stride,
         ):
             rows = np.arange(0, t, time_stride) if time_stride > 1 else None
-            fresh_cells = _compute_cells(store, pairs, rows, self.threads)
+            evaluated = _compute_cells(store, pairs, rows, self.threads)
             obs.add("alignment.matrices", len(pairs))
-            obs.add("alignment.cells", fresh_cells)
+            obs.add("alignment.cells", evaluated)
 
             lags = np.arange(-w, w + 1)
             out = []
@@ -374,7 +375,12 @@ def _compute_cells(
     rows: Optional[np.ndarray],
     threads: int,
 ) -> int:
-    """Evaluate all requested-but-unknown cells for ``pairs``; count them.
+    """Evaluate all requested-but-unknown cells for ``pairs``.
+
+    Returns the number of in-band cells the kernels wrote.  That is at
+    least the unknown requested cells: a GEMM job recomputes its whole
+    row range, including known rows and unrequested rows merged into
+    its cluster.
 
     Needs are tracked **per pair**: a pair whose requested cells are all
     known (seeded from the stream cache, or computed by an earlier
@@ -402,8 +408,7 @@ def _compute_cells(
     band = store.band()
     request = band & row_mask[:, None]
     pair_needed = [request & ~known for _, known in entries]
-    fresh = int(sum(pn.sum() for pn in pair_needed))
-    if fresh == 0:
+    if not any(pn.any() for pn in pair_needed):
         return 0
 
     gemm_jobs: List[Tuple[int, int, int]] = []  # (pair index, r0, r1)
@@ -434,9 +439,11 @@ def _compute_cells(
     # index prep depends only on (rows, left offset, window width), so
     # one entry serves every job but the first/last (benign data race
     # under threads: a lost update just recomputes).
-    gemm_prep: Dict[Tuple[int, int, int], Tuple[np.ndarray, ...]] = {}
+    gemm_prep: Dict[
+        Tuple[int, int, int], Tuple[np.ndarray, np.ndarray, np.ndarray, int]
+    ] = {}
 
-    def run_gemm(job: Tuple[int, int, int]) -> None:
+    def run_gemm(job: Tuple[int, int, int]) -> int:
         p_idx, r0, r1 = job
         u0, u1 = max(0, r0 - w), min(t, r1 + w)
         nu = u1 - u0
@@ -448,8 +455,8 @@ def _compute_cells(
             valid = (j_win >= 0) & (j_win < nu)
             jcol = np.clip(j_win, 0, nu - 1)
             ridx = np.arange(r1 - r0)[:, None]
-            gemm_prep[prep_key] = prep = (valid, jcol, ridx)
-        valid, jcol, ridx = prep
+            gemm_prep[prep_key] = prep = (valid, jcol, ridx, int(valid.sum()))
+        valid, jcol, ridx, n_valid = prep
         i, j = keys[p_idx]
         values, known = entries[p_idx]
         # One batched GEMM over all K TX chains, both operands zero-copy
@@ -468,6 +475,7 @@ def _compute_cells(
         band_vals = acc[ridx, jcol]
         np.copyto(values[r0:r1], np.where(valid, band_vals, np.nan))
         known[r0:r1] |= valid
+        return n_valid  # ``valid`` is exactly the band over rows r0:r1
 
     # Per-lag gather jobs for the scattered rows.  Only the scattered
     # rows are conjugated — a strided pre-screen touches a small subset
@@ -491,13 +499,14 @@ def _compute_cells(
             if rws.size:
                 einsum_jobs.append((col, rws))
 
-    def run_einsum(job: Tuple[int, np.ndarray]) -> None:
+    def run_einsum(job: Tuple[int, np.ndarray]) -> int:
         col, rws = job
         lag = col - w
         a = stack_i[:, row_pos[rws]].transpose(1, 0, 2, 3)  # (R, P, K, S)
         b = store.norm[np.ix_(rws - lag, j_idx)]
         inner = np.einsum("rpks,rpks->rpk", a, b)
         vals = (np.abs(inner) ** 2).mean(axis=-1)  # (R, P)
+        written = 0
         for p_idx, (values, known) in enumerate(entries):
             # Write only this pair's own scattered needs: cells a GEMM
             # job owns (same pair, other rows) must have one writer.
@@ -510,6 +519,8 @@ def _compute_cells(
             rsel = rws[m]
             values[rsel, col] = vals[m, p_idx]
             known[rsel, col] = True
+            written += rsel.size
+        return written
 
     jobs = [(run_gemm, j) for j in gemm_jobs] + [
         (run_einsum, j) for j in einsum_jobs
@@ -522,22 +533,17 @@ def _compute_cells(
         # (BLAS is pinned to one thread), so outputs do not depend on
         # the pool width.  The calling thread runs one interleaved share
         # itself: a call costs threads-1 hand-offs, not one per job.
-        def run_share(share) -> None:
-            for fn, job in share:
-                fn(job)
+        def run_share(share) -> int:
+            return sum(fn(job) for fn, job in share)
 
         shares = [jobs[k::threads] for k in range(min(threads, len(jobs)))]
         pending = [_job_pool(threads - 1).submit(run_share, s) for s in shares[1:]]
         try:
-            run_share(shares[0])
+            evaluated = run_share(shares[0])
         finally:
             wait(pending)
-        for future in pending:
-            future.result()
-    else:
-        for fn, job in jobs:
-            fn(job)
-    return fresh
+        return evaluated + sum(future.result() for future in pending)
+    return sum(fn(job) for fn, job in jobs)
 
 
 _pools: Dict[int, ThreadPoolExecutor] = {}

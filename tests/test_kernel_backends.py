@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Rim, RimConfig, StreamingRim
+from repro import Rim, RimConfig, StreamingRim, obs
 from repro.arrays.pairs import all_pairs
 from repro.core.trrs import normalize_csi
 from repro.perf.kernels import BatchedBackend, ReferenceBackend
@@ -215,6 +215,32 @@ def test_strided_then_full_request_reuses_rows(line_trace):
     _assert_matrices_match(
         ref.matrices(rs, pairs, **kw), bat.matrices(bs, pairs, **kw)
     )
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_cell_count_is_cells_evaluated(line_trace, threads):
+    """``alignment.cells`` counts what the kernels wrote, not what was
+    asked: a stride-8 pre-screen merges into full-row GEMM clusters."""
+    pairs = all_pairs(line_trace.array)
+    backend = BatchedBackend(threads=threads)
+    store = backend.make_store(normalize_csi(line_trace.data), 25)
+    kw = dict(virtual_window=1, sampling_rate=line_trace.sampling_rate)
+    obs.disable()
+    obs.reset()
+    obs.enable()
+    try:
+        backend.matrices(store, pairs, time_stride=8, **kw)
+        strided = obs.METRICS.counter("alignment.cells").value
+        known = sum(int(store.known[(p.i, p.j)].sum()) for p in pairs)
+        requested = len(pairs) * int(store.band()[::8].sum())
+        assert strided == known
+        assert strided > requested  # merged clusters compute every row
+        # Every in-band cell is known now: a full request evaluates none.
+        backend.matrices(store, pairs, **kw)
+        assert obs.METRICS.counter("alignment.cells").value == strided
+    finally:
+        obs.disable()
+        obs.reset()
 
 
 def test_threaded_backend_matches_serial(line_trace):

@@ -1,6 +1,8 @@
 """Tests for the fault-tolerant network ingestion front-end (repro.net)."""
 
+import asyncio
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,9 +27,12 @@ from repro.net import (
     unpack_frame,
     updates_equal,
 )
+from repro.io import array_to_manifest
 from repro.net import framing
+from repro.net import server as net_server
 from repro.robustness.health import HealthReport
-from repro.serve.session import ServeConfig
+from repro.serve.session import ServeConfig, SessionManager
+from repro.shard import ShardRouter
 from repro.shutdown import GracefulShutdown
 
 
@@ -640,6 +645,172 @@ class TestLoopback:
             assert int(rows[0]["acked"]) == net_trace.n_samples - 1
         finally:
             server.close()
+
+
+class _RecordingWriter:
+    """Stands in for an asyncio StreamWriter; keeps what is written."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.closed = False
+
+    def write(self, data):
+        self.written += data
+
+    async def drain(self):
+        pass
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+    async def wait_closed(self):
+        pass
+
+    def frames(self):
+        decoder = FrameDecoder()
+        decoder.feed(bytes(self.written))
+        return list(decoder.frames())
+
+
+class TestIngestJobs:
+    def test_each_read_runs_one_ingest_job(self, net_trace, monkeypatch):
+        executors = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.jobs = 0
+                executors.append(self)
+
+            def submit(self, *args, **kwargs):
+                self.jobs += 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(net_server, "ThreadPoolExecutor", CountingExecutor)
+        server = NetServer(config=NetServerConfig(port=0))  # never listens
+        pushed = []
+        real_push = server.manager.push
+
+        def counting_push(name, packet, timestamp=None, **kwargs):
+            pushed.append(timestamp)
+            return real_push(name, packet, timestamp, **kwargs)
+
+        server.manager.push = counting_push
+        hello = pack_frame(
+            framing.FRAME_HELLO,
+            payload=framing.pack_json_payload(
+                {
+                    "name": "rx00",
+                    "sampling_rate": net_trace.sampling_rate,
+                    "carrier_wavelength": net_trace.carrier_wavelength,
+                    "sample_shape": list(net_trace.data.shape[1:]),
+                    "array": array_to_manifest(net_trace.array),
+                }
+            ),
+        )
+
+        def data(seqs):
+            return b"".join(
+                pack_frame(
+                    framing.FRAME_DATA,
+                    seq=k,
+                    payload=framing.pack_data_payload(
+                        float(net_trace.times[k]), net_trace.data[k]
+                    ),
+                )
+                for k in seqs
+            )
+
+        # Both data reads must fit one 64 KiB socket read.
+        n = min(net_trace.n_samples, 65536 // len(data([0])))
+        split = n - 5
+        jobs_at_read = []  # ingest jobs run before each socket read
+
+        class CountingReader(asyncio.StreamReader):
+            async def read(self, n=-1):
+                jobs_at_read.append(executors[0].jobs if executors else 0)
+                return await super().read(n)
+
+        async def drive():
+            reader = CountingReader()
+            writer = _RecordingWriter()
+            handler = asyncio.ensure_future(
+                server._handle_connection(reader, writer)
+            )
+            reads = [
+                hello,
+                # Several DATA frames in one read: push all, then poll.
+                data(range(split)),
+                # DATA frames and the BYE in one read: the finish pushes
+                # them, flushes, and sends the final updates before BYE.
+                data(range(split, n)) + pack_frame(framing.FRAME_BYE),
+            ]
+            for k, chunk in enumerate(reads):
+                while len(jobs_at_read) <= k:  # handler waits in read k
+                    await asyncio.sleep(0.001)
+                reader.feed_data(chunk)
+            await asyncio.wait_for(handler, timeout=60.0)
+            return writer
+
+        try:
+            writer = asyncio.run(drive())
+        finally:
+            for att in server._attachments.values():
+                att.executor.shutdown(wait=True)
+
+        assert len(executors) == 1
+        assert jobs_at_read == [0, 1, 2]
+        assert executors[0].jobs == 3
+        assert pushed == [float(t) for t in net_trace.times[:n]]
+        frames = writer.frames()
+        assert frames[-1].frame_type == framing.FRAME_BYE
+        updates = [
+            framing.decode_update(f.payload)
+            for f in frames
+            if f.frame_type == framing.FRAME_UPDATE
+        ]
+        reference = SessionManager()
+        reference.create(
+            "rx00",
+            net_trace.array,
+            net_trace.sampling_rate,
+            carrier_wavelength=net_trace.carrier_wavelength,
+        )
+        for k in range(n):
+            reference.push("rx00", net_trace.data[k], float(net_trace.times[k]))
+        expected = reference.poll("rx00") + reference.evict("rx00")
+        assert expected and updates_equal(updates, expected)
+
+    def test_faulted_run_through_one_shard_router(self, net_trace):
+        plan = NetFaultPlan(
+            seed=2,
+            drop_fraction=0.05,
+            duplicate_fraction=0.05,
+            reorder_fraction=0.1,
+            corrupt_fraction=0.03,
+        )
+        router = ShardRouter(1)
+        try:
+            router.wait_ready()
+            server = NetServer(
+                manager=router, config=NetServerConfig(port=0)
+            ).start()
+            try:
+                result = run_net_load(
+                    [("rx00", net_trace)],
+                    fault_plan=plan,
+                    host=server.config.host,
+                    port=server.port,
+                )
+            finally:
+                server.close()
+        finally:
+            router.close()
+        assert result["baseline_match"] is True
+        assert result["faults"]["rx00"]["dropped"] > 0
 
 
 # -- graceful shutdown ---------------------------------------------------------

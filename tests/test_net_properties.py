@@ -1,13 +1,17 @@
 """Property tests for wire/store binary framing (Hypothesis).
 
-Two guarantees are locked down here:
+Three guarantees are locked down here:
 
 * the network frame codec never yields wrong data — an arbitrary payload
   round-trips exactly, and any truncation or byte flip either raises /
   resyncs or still decodes to the original bytes, never to altered ones;
 * the store's v1 on-disk chunk layout is byte-identical to what it was
   before the shared :mod:`repro.binfmt` extraction (golden bytes built
-  with raw ``struct`` + ``zlib``, independent of the codec under test).
+  with raw ``struct`` + ``zlib``, independent of the codec under test);
+* the wire fault injector, which draws each seq's decisions once, writes
+  the same bytes in the same order with the same delays — and reports
+  the same counters and expected repairs — as a reference that asks the
+  plan one question per draw.
 """
 
 import struct
@@ -19,7 +23,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.net import FrameDecoder, FrameError, pack_frame, unpack_frame  # noqa: E402
+from repro.net import (  # noqa: E402
+    FrameDecoder,
+    FrameError,
+    NetFaultPlan,
+    WireFaultInjector,
+    pack_frame,
+    unpack_frame,
+)
+from repro.net import faults as net_faults  # noqa: E402
 from repro.net import framing  # noqa: E402
 from repro.store import format as store_format  # noqa: E402
 
@@ -191,3 +203,247 @@ class TestStoreLayoutLock:
         )
         np.testing.assert_array_equal(got_times, times.astype(np.float64))
         np.testing.assert_array_equal(got_data, data)
+
+
+# -- wire fault injection ------------------------------------------------------
+
+
+def _reference_draws(plan, seq):
+    rng = np.random.default_rng((0x52494D4E, plan.seed, seq))
+    return rng.uniform(size=5)
+
+
+class _ReferenceInjector:
+    """The injector as it was written before the single draw: every
+    question about a seq re-seeds its own generator."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self._held = None
+        self.n_dropped = 0
+        self.n_duplicated = 0
+        self.n_corrupted = 0
+        self.n_reordered = 0
+        self.n_delayed = 0
+
+    def drops(self, seq):
+        return bool(_reference_draws(self.plan, seq)[0] < self.plan.drop_fraction)
+
+    def duplicates(self, seq):
+        return bool(
+            _reference_draws(self.plan, seq)[1] < self.plan.duplicate_fraction
+        )
+
+    def corrupts(self, seq):
+        return bool(
+            _reference_draws(self.plan, seq)[2] < self.plan.corrupt_fraction
+        )
+
+    def delays(self, seq):
+        return bool(_reference_draws(self.plan, seq)[3] < self.plan.delay_fraction)
+
+    def swaps_with_next(self, seq):
+        if seq % 2 != 0:
+            return False
+        return bool(
+            _reference_draws(self.plan, seq)[4] < self.plan.reorder_fraction
+        )
+
+    def reset_stream(self):
+        self._held = None
+
+    def admit(self, seq, frame):
+        plan = self.plan
+        if plan.is_clean:
+            return [(frame, 0.0)]
+        out = []
+        if self.drops(seq):
+            self.n_dropped += 1
+            frame = b""
+        elif self.corrupts(seq):
+            self.n_corrupted += 1
+            frame = plan.corrupt_bytes(seq, frame)
+        delay = plan.delay_s if (frame and self.delays(seq)) else 0.0
+        if delay:
+            self.n_delayed += 1
+        if self._held is not None:
+            held_seq, held_frame = self._held
+            self._held = None
+            if frame:
+                out.append((frame, delay))
+            if held_frame:
+                out.append((held_frame, 0.0))
+            if frame and held_frame:
+                self.n_reordered += 1
+            if frame and self.duplicates(seq):
+                self.n_duplicated += 1
+                out.append((frame, 0.0))
+            if held_frame and self.duplicates(held_seq):
+                self.n_duplicated += 1
+                out.append((held_frame, 0.0))
+            return out
+        if self.swaps_with_next(seq):
+            self._held = (seq, frame)
+            return []
+        if frame:
+            out.append((frame, delay))
+            if self.duplicates(seq):
+                self.n_duplicated += 1
+                out.append((frame, 0.0))
+        return out
+
+    def flush(self):
+        if self._held is None:
+            return []
+        held_seq, held_frame = self._held
+        self._held = None
+        if not held_frame:
+            return []
+        out = [(held_frame, 0.0)]
+        if self.duplicates(held_seq):
+            self.n_duplicated += 1
+            out.append((held_frame, 0.0))
+        return out
+
+    def counters(self):
+        return {
+            "dropped": self.n_dropped,
+            "duplicated": self.n_duplicated,
+            "corrupted": self.n_corrupted,
+            "reordered": self.n_reordered,
+            "delayed": self.n_delayed,
+        }
+
+    def delivered_seqs(self, n):
+        return frozenset(
+            seq for seq in range(n) if not (self.drops(seq) or self.corrupts(seq))
+        )
+
+    def expected_repairs(self, n):
+        delivered = self.delivered_seqs(n)
+        high = max(delivered) if delivered else -1
+        return {
+            "net_crc_dropped": sum(1 for seq in range(n) if self.corrupts(seq)),
+            "net_gap_samples": sum(
+                1 for seq in range(high + 1) if seq not in delivered
+            ),
+            "net_duplicate_dropped": sum(
+                1 for seq in range(n) if seq in delivered and self.duplicates(seq)
+            ),
+        }
+
+
+def _data_frame(seq):
+    # Payload lengths vary with seq; seq % 7 == 0 carries none, so
+    # corruption also hits the header-only branch of corrupt_bytes.
+    return pack_frame(framing.FRAME_DATA, seq=seq, payload=bytes(seq % 7) * 3)
+
+
+FRACTION_ST = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@st.composite
+def _stream_scripts(draw):
+    """A plan plus the seqs a client admits: a run, a reset-and-resend
+    from an earlier seq, the rest, and an end-of-stream flush."""
+    plan = NetFaultPlan(
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        drop_fraction=draw(FRACTION_ST),
+        duplicate_fraction=draw(FRACTION_ST),
+        reorder_fraction=draw(FRACTION_ST),
+        corrupt_fraction=draw(FRACTION_ST),
+        delay_fraction=draw(FRACTION_ST),
+        delay_s=draw(st.sampled_from([0.0, 0.005])),
+    )
+    n = draw(st.integers(min_value=0, max_value=40))
+    cut = draw(st.integers(min_value=0, max_value=n))
+    resume = draw(st.integers(min_value=0, max_value=cut))
+    return plan, n, cut, resume
+
+
+class TestSingleDrawInjector:
+    @given(script=_stream_scripts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_injector(self, script):
+        plan, n, cut, resume = script
+        new, ref = WireFaultInjector(plan), _ReferenceInjector(plan)
+
+        def both(call):
+            got, want = call(new), call(ref)
+            assert got == want  # bytes, order and delays
+            assert new.counters() == ref.counters()
+
+        for seq in range(cut):
+            both(lambda inj: inj.admit(seq, _data_frame(seq)))
+        # The transport dies, possibly with a swap held; the client
+        # resends from an earlier seq on the new connection.
+        new.reset_stream()
+        ref.reset_stream()
+        for seq in range(resume, n):
+            both(lambda inj: inj.admit(seq, _data_frame(seq)))
+        both(lambda inj: inj.flush())
+        both(lambda inj: inj.flush())
+        assert plan.delivered_seqs(n) == ref.delivered_seqs(n)
+        assert plan.expected_repairs(n) == ref.expected_repairs(n)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        seq=st.integers(min_value=0, max_value=2**40),
+        fractions=st.tuples(*[FRACTION_ST] * 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_predicates_read_the_single_decision(self, seed, seq, fractions):
+        drop, dup, reorder, corrupt, delay = fractions
+        plan = NetFaultPlan(
+            seed=seed,
+            drop_fraction=drop,
+            duplicate_fraction=dup,
+            reorder_fraction=reorder,
+            corrupt_fraction=corrupt,
+            delay_fraction=delay,
+        )
+        ref = _ReferenceInjector(plan)
+        faults = plan.decide(seq)
+        assert faults.drop == plan.drops(seq) == ref.drops(seq)
+        assert faults.duplicate == plan.duplicates(seq) == ref.duplicates(seq)
+        assert faults.corrupt == plan.corrupts(seq) == ref.corrupts(seq)
+        assert faults.delay == plan.delays(seq) == ref.delays(seq)
+        assert faults.swap == plan.swaps_with_next(seq) == ref.swaps_with_next(seq)
+
+    def test_one_generator_per_admitted_frame(self, monkeypatch):
+        built = []
+        real = net_faults.default_rng
+
+        def counting(seed):
+            built.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(net_faults, "default_rng", counting)
+        plan = NetFaultPlan(
+            seed=11,
+            drop_fraction=0.1,
+            duplicate_fraction=0.2,
+            reorder_fraction=0.5,
+            corrupt_fraction=0.3,
+            delay_fraction=0.2,
+            delay_s=0.0,
+        )
+        injector = WireFaultInjector(plan)
+        n = 200
+        for seq in range(n):
+            # Every frame carries a payload, so each corruption draws
+            # the byte it flips.
+            frame = pack_frame(framing.FRAME_DATA, seq=seq, payload=b"p" * 9)
+            injector.admit(seq, frame)
+        injector.flush()
+        assert injector.n_corrupted > 0
+        assert injector.n_reordered > 0
+        assert len(built) == n + injector.n_corrupted
+        built.clear()
+        plan.delivered_seqs(n)
+        assert len(built) == n
+        built.clear()
+        plan.expected_repairs(n)
+        assert len(built) == n
